@@ -165,6 +165,19 @@ impl Backend for SingleMachineBackend {
 /// built for — a placement change must rebuild, never reuse.
 type ShardCacheKey = (u64, usize, PartitionerSpec, usize);
 
+/// The cache key describing a pre-built partitioning's layout. The placement
+/// facet is derived from the layout itself (a greedy build that happens to
+/// coincide with modulo placement just causes a harmless cache miss later).
+fn layout_key(pg: &PartitionedGraph) -> ShardCacheKey {
+    let spec = if pg.modulo_placed() {
+        PartitionerSpec::Hash
+    } else {
+        PartitionerSpec::Greedy
+    };
+    let hubs = pg.replicas().map_or(0, |r| r.hubs().len());
+    (pg.base_build_id(), pg.partitions(), spec, hubs)
+}
+
 /// The lazily built shard cache: source-graph identity → sharded form.
 type ShardCache = Arc<Mutex<Option<(ShardCacheKey, Arc<PartitionedGraph>)>>>;
 
@@ -313,18 +326,30 @@ impl PartitionedBackend {
                 self.partitions
             )));
         }
-        // Derive the placement facet of the key from the layout itself (a
-        // greedy build that happens to coincide with modulo placement just
-        // causes a harmless cache miss later).
-        let spec = if pg.modulo_placed() {
-            PartitionerSpec::Hash
-        } else {
-            PartitionerSpec::Greedy
-        };
-        let hubs = pg.replicas().map_or(0, |r| r.hubs().len());
-        let key: ShardCacheKey = (pg.base_build_id(), self.partitions, spec, hubs);
-        *self.cache.lock() = Some((key, pg));
+        *self.cache.lock() = Some((layout_key(&pg), pg));
         Ok(())
+    }
+
+    /// [`prepare`](Self::prepare) with a pre-built partitioning on offer —
+    /// e.g. one loaded from a graph image next to `graph`. The offered shards
+    /// are installed as they are when their layout (source graph, partition
+    /// count, placement and hub count) is exactly what this backend would
+    /// build for `graph`; otherwise `graph` is sharded as usual. Fails only
+    /// on an invalid `GOPT_PARTITIONER` value, like `prepare`.
+    pub fn prepare_from(
+        &self,
+        graph: &PropertyGraph,
+        prebuilt: Arc<PartitionedGraph>,
+    ) -> Result<(), ExecError> {
+        let spec = self.effective_partitioner()?;
+        let wanted: ShardCacheKey = (graph.build_id(), self.partitions, spec, self.replicate_hubs);
+        let key = layout_key(&prebuilt);
+        if key == wanted {
+            *self.cache.lock() = Some((key, prebuilt));
+            Ok(())
+        } else {
+            self.prepare(graph)
+        }
     }
 
     /// The placement strategy in effect: the `GOPT_PARTITIONER` environment
@@ -456,6 +481,44 @@ mod tests {
         let r4 = parted.execute(&g, &plan).unwrap();
         assert_eq!(r2.sorted_rows(), r4.sorted_rows());
         assert_eq!(r2.stats.comm_records, r4.stats.comm_records);
+    }
+
+    #[test]
+    fn prepare_from_installs_matching_shards_and_reshards_otherwise() {
+        if PartitionerSpec::from_env().is_ok_and(|spec| spec.is_some()) {
+            return; // an env-selected placement decides which layouts match
+        }
+        let g = random_graph(&fig6_schema(), &RandomGraphConfig::default());
+        let pg = Arc::new(PartitionedGraph::build(&g, 2));
+        let cached = |b: &PartitionedBackend| Arc::clone(&b.cache.lock().as_ref().unwrap().1);
+        // same layout: the offered shards are used as they are
+        let matching = PartitionedBackend::new(2).unwrap();
+        matching.prepare_from(&g, Arc::clone(&pg)).unwrap();
+        assert!(Arc::ptr_eq(&cached(&matching), &pg));
+        // another partition count, hub count or placement: the graph is re-sharded
+        for other in [
+            PartitionedBackend::new(3).unwrap(),
+            PartitionedBackend::new(2).unwrap().with_hub_replication(2),
+            PartitionedBackend::new(2)
+                .unwrap()
+                .with_partitioner(PartitionerSpec::Greedy),
+        ] {
+            other.prepare_from(&g, Arc::clone(&pg)).unwrap();
+            let built = cached(&other);
+            assert!(!Arc::ptr_eq(&built, &pg));
+            let plan = simple_plan(&g);
+            assert_eq!(
+                other.execute(&g, &plan).unwrap().sorted_rows(),
+                SingleMachineBackend::new()
+                    .execute(&g, &plan)
+                    .unwrap()
+                    .sorted_rows()
+            );
+            assert!(
+                Arc::ptr_eq(&cached(&other), &built),
+                "no rebuild on execute"
+            );
+        }
     }
 
     #[test]

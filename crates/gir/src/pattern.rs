@@ -12,7 +12,7 @@
 
 use crate::expr::Expr;
 use crate::types::TypeConstraint;
-use gopt_graph::PropValue;
+use gopt_graph::{LabelId, PropValue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -545,9 +545,125 @@ impl Pattern {
     ///
     /// Tags, predicates and column lists are deliberately **not** part of the code: the
     /// code identifies the statistical object (which labelled structure is being counted),
-    /// which is what GLogue keys on. Computed by brute force over vertex orderings, which
-    /// is fine for the small patterns (≤ 8 vertices) the optimizer and GLogue deal with.
+    /// which is what GLogue keys on. Two patterns get the same code exactly when they are
+    /// isomorphic as labelled multigraphs (vertex constraints, edge constraints and hop
+    /// ranges; path semantics are not part of the code).
+    ///
+    /// Vertices are first sorted by an isomorphism invariant: their own constraint, then
+    /// the sorted list of incident `(direction, edge constraint, hops, neighbour
+    /// constraint)` tuples. Only orderings that permute vertices *within* a class of equal
+    /// invariant are searched, over sorted integer edge tuples, and the least edge list is
+    /// formatted once. An isomorphism maps every class onto the class with the same
+    /// invariant, so isomorphic patterns search the same candidate set and keep the same
+    /// minimum; the code spells out every vertex and edge, so equal codes imply
+    /// isomorphic patterns.
     pub fn canonical_code(&self) -> String {
+        use std::fmt::Write as _;
+        let n = self.vertices.len();
+        if n == 0 {
+            return "()".to_string();
+        }
+        // rank the distinct vertex constraints and edge labels in a fixed total order, so
+        // the integer codes below do not depend on element ids
+        let vkeys: Vec<Option<&[LabelId]>> = self
+            .vertices
+            .values()
+            .map(|v| v.constraint.as_labels())
+            .collect();
+        let vdict = sorted_distinct(&vkeys);
+        let vlabel: Vec<usize> = vkeys.iter().map(|k| rank_in(&vdict, k)).collect();
+        let ekeys: Vec<EdgeKey<'_>> = self
+            .edges
+            .values()
+            .map(|e| {
+                (
+                    e.constraint.as_labels(),
+                    e.path.map(|p| (p.min_hops, p.max_hops)),
+                )
+            })
+            .collect();
+        let edict = sorted_distinct(&ekeys);
+        let ids: Vec<PatternVertexId> = self.vertices.keys().copied().collect();
+        let index = |v: PatternVertexId| ids.binary_search(&v).expect("endpoint in pattern");
+        let edges: Vec<(usize, usize, usize)> = self
+            .edges
+            .values()
+            .zip(&ekeys)
+            .map(|(e, k)| (index(e.src), index(e.dst), rank_in(&edict, k)))
+            .collect();
+
+        // the invariant: own constraint, then sorted incident (direction, label, neighbour)
+        let mut incident: Vec<Vec<(u8, usize, usize)>> = vec![Vec::new(); n];
+        for &(s, d, l) in &edges {
+            incident[s].push((0, l, vlabel[d]));
+            incident[d].push((1, l, vlabel[s]));
+        }
+        for inc in &mut incident {
+            inc.sort_unstable();
+        }
+        let invariant = |v: usize| (vlabel[v], &incident[v]);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| invariant(a).cmp(&invariant(b)));
+        // class_end[pos] = one past the last position holding the same invariant
+        let mut class_end = vec![n; n];
+        for pos in (0..n - 1).rev() {
+            class_end[pos] = if invariant(order[pos]) == invariant(order[pos + 1]) {
+                class_end[pos + 1]
+            } else {
+                pos + 1
+            };
+        }
+
+        // the least sorted edge list over the orderings that permute within classes
+        let mut best: Vec<(usize, usize, usize)> = Vec::new();
+        if !edges.is_empty() {
+            let mut rank = vec![0usize; n];
+            let mut cur = Vec::with_capacity(edges.len());
+            permute_within(&mut order.clone(), &class_end, 0, &mut |perm| {
+                for (pos, &v) in perm.iter().enumerate() {
+                    rank[v] = pos;
+                }
+                cur.clear();
+                cur.extend(edges.iter().map(|&(s, d, l)| (rank[s], rank[d], l)));
+                cur.sort_unstable();
+                if best.is_empty() || cur < best {
+                    best.clone_from(&cur);
+                }
+            });
+        }
+
+        // every ordering searched puts the same constraint at each position
+        let mut code = String::from("V[");
+        for (pos, &v) in order.iter().enumerate() {
+            if pos > 0 {
+                code.push(',');
+            }
+            let _ = write!(code, "{pos}:");
+            push_constraint_code(&mut code, vdict[vlabel[v]]);
+        }
+        code.push_str("]E[");
+        for (i, &(s, d, l)) in best.iter().enumerate() {
+            if i > 0 {
+                code.push(',');
+            }
+            let _ = write!(code, "{s}->{d}:");
+            let (constraint, hops) = edict[l];
+            push_constraint_code(&mut code, constraint);
+            match hops {
+                None => code.push_str(":1"),
+                Some((min, max)) => {
+                    let _ = write!(code, ":{min}..{max}");
+                }
+            }
+        }
+        code.push(']');
+        code
+    }
+
+    /// The canonical code by brute force over all `n!` vertex orderings: the reference
+    /// the invariant-pruned [`canonical_code`](Self::canonical_code) is checked against.
+    #[cfg(test)]
+    pub(crate) fn canonical_code_brute_force(&self) -> String {
         let ids = self.vertex_ids();
         let n = ids.len();
         if n == 0 {
@@ -555,7 +671,7 @@ impl Pattern {
         }
         let mut best: Option<String> = None;
         let mut perm: Vec<usize> = (0..n).collect();
-        permute(&mut perm, 0, &mut |perm| {
+        permute_within(&mut perm, &vec![n; n], 0, &mut |perm| {
             // position[i] = rank of vertex ids[i] under this permutation
             let mut rank = BTreeMap::new();
             for (i, &p) in perm.iter().enumerate() {
@@ -635,6 +751,39 @@ impl Pattern {
     }
 }
 
+/// An edge's part of the canonical code: its constraint (`None` = AllType) and hop range.
+type EdgeKey<'a> = (Option<&'a [LabelId]>, Option<(u32, u32)>);
+
+/// The distinct values of `keys`, sorted.
+fn sorted_distinct<K: Ord + Copy>(keys: &[K]) -> Vec<K> {
+    let mut dict = keys.to_vec();
+    dict.sort_unstable();
+    dict.dedup();
+    dict
+}
+
+/// Position of `key` in a [`sorted_distinct`] dictionary that contains it.
+fn rank_in<K: Ord>(dict: &[K], key: &K) -> usize {
+    dict.binary_search(key).expect("key in dictionary")
+}
+
+/// Append a constraint's code: `*` for AllType, otherwise the labels joined by `|`.
+fn push_constraint_code(out: &mut String, labels: Option<&[LabelId]>) {
+    use std::fmt::Write as _;
+    match labels {
+        None => out.push('*'),
+        Some(ls) => {
+            for (i, l) in ls.iter().enumerate() {
+                if i > 0 {
+                    out.push('|');
+                }
+                let _ = write!(out, "{}", l.0);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 fn constraint_code(c: &TypeConstraint) -> String {
     match c {
         TypeConstraint::All => "*".to_string(),
@@ -646,15 +795,22 @@ fn constraint_code(c: &TypeConstraint) -> String {
     }
 }
 
-/// Enumerate all permutations of `items[at..]`, invoking `f` on each complete permutation.
-fn permute(items: &mut Vec<usize>, at: usize, f: &mut impl FnMut(&[usize])) {
+/// Enumerate every permutation of `items[at..]` that only swaps items within their
+/// class (`class_end[i]` is one past the last position of the class holding position
+/// `i`), invoking `f` on each complete permutation.
+fn permute_within(
+    items: &mut [usize],
+    class_end: &[usize],
+    at: usize,
+    f: &mut impl FnMut(&[usize]),
+) {
     if at == items.len() {
         f(items);
         return;
     }
-    for i in at..items.len() {
+    for i in at..class_end[at] {
         items.swap(at, i);
-        permute(items, at + 1, f);
+        permute_within(items, class_end, at + 1, f);
         items.swap(at, i);
     }
 }
@@ -783,6 +939,140 @@ mod tests {
         p4.add_edge(a, b, TypeConstraint::all());
         p4.add_edge(b, c, TypeConstraint::all());
         assert_ne!(p3.canonical_code(), p4.canonical_code());
+    }
+
+    /// SplitMix64: a tiny seeded generator for the property test below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A constraint from the first `alphabet` of: All, two basic types, their union.
+    fn random_constraint(rng: &mut SplitMix, alphabet: usize) -> TypeConstraint {
+        match rng.below(alphabet) {
+            0 => TypeConstraint::all(),
+            1 => TypeConstraint::basic(LabelId(0)),
+            2 => TypeConstraint::basic(LabelId(1)),
+            _ => TypeConstraint::union([LabelId(0), LabelId(1)]),
+        }
+    }
+
+    /// 1-5 vertices and up to 2n edges, with self-loops, parallel edges and path edges.
+    /// Small alphabets make vertices with equal invariants common, including ones no
+    /// automorphism maps onto each other (as the middle of a directed path), and make
+    /// random patterns often isomorphic to one another.
+    fn random_pattern(rng: &mut SplitMix) -> Pattern {
+        let mut p = Pattern::new();
+        let alphabet = [1, 2, 4][rng.below(3)];
+        let n = 1 + rng.below(5);
+        let vs: Vec<_> = (0..n)
+            .map(|_| p.add_vertex(random_constraint(rng, alphabet)))
+            .collect();
+        for _ in 0..rng.below(2 * n + 1) {
+            let path = match rng.below(3 * alphabet) {
+                0 => Some(PathSpec::exact(2)),
+                1 => Some(PathSpec {
+                    min_hops: 1,
+                    max_hops: 3,
+                    semantics: PathSemantics::Simple,
+                }),
+                _ => None,
+            };
+            let (s, d) = (vs[rng.below(n)], vs[rng.below(n)]);
+            p.add_edge_full(s, d, None, random_constraint(rng, alphabet), None, path);
+        }
+        p
+    }
+
+    /// The same pattern rebuilt with vertices and edges inserted in a shuffled order,
+    /// sometimes behind a removed placeholder vertex so that the ids are sparse.
+    fn rebuilt_shuffled(p: &Pattern, rng: &mut SplitMix) -> Pattern {
+        let shuffle = |mut items: Vec<usize>, rng: &mut SplitMix| {
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.below(i + 1));
+            }
+            items
+        };
+        let mut q = Pattern::new();
+        let placeholder = (rng.below(2) == 0).then(|| q.add_vertex(TypeConstraint::all()));
+        let old_vs = p.vertex_ids();
+        let mut map = BTreeMap::new();
+        for i in shuffle((0..old_vs.len()).collect(), rng) {
+            let v = p.vertex(old_vs[i]);
+            map.insert(v.id, q.add_vertex(v.constraint.clone()));
+        }
+        let old_es = p.edge_ids();
+        for i in shuffle((0..old_es.len()).collect(), rng) {
+            let e = p.edge(old_es[i]);
+            q.add_edge_full(
+                map[&e.src],
+                map[&e.dst],
+                None,
+                e.constraint.clone(),
+                None,
+                e.path,
+            );
+        }
+        match placeholder {
+            Some(v) => q.remove_vertex(v),
+            None => q,
+        }
+    }
+
+    #[test]
+    fn canonical_code_agrees_with_brute_force_on_random_patterns() {
+        let mut rng = SplitMix(0x00c0_ffee);
+        let patterns: Vec<Pattern> = (0..1500).map(|_| random_pattern(&mut rng)).collect();
+        // intern both codes so every pair compares two integers
+        let intern = |codes: Vec<String>| -> Vec<usize> {
+            let mut ids: BTreeMap<String, usize> = BTreeMap::new();
+            codes
+                .into_iter()
+                .map(|c| {
+                    let next = ids.len();
+                    *ids.entry(c).or_insert(next)
+                })
+                .collect()
+        };
+        let fast = intern(patterns.iter().map(Pattern::canonical_code).collect());
+        let slow = intern(
+            patterns
+                .iter()
+                .map(Pattern::canonical_code_brute_force)
+                .collect(),
+        );
+        let mut isomorphic_pairs = 0usize;
+        for i in 0..patterns.len() {
+            for j in 0..patterns.len() {
+                assert_eq!(
+                    fast[i] == fast[j],
+                    slow[i] == slow[j],
+                    "code equality disagrees with brute force on\n{}\n{}",
+                    patterns[i],
+                    patterns[j]
+                );
+                isomorphic_pairs += usize::from(i != j && slow[i] == slow[j]);
+            }
+        }
+        assert!(
+            isomorphic_pairs > 100,
+            "the generator must produce isomorphic pairs, got {isomorphic_pairs}"
+        );
+        for p in &patterns {
+            let q = rebuilt_shuffled(p, &mut rng);
+            assert_eq!(p.canonical_code(), q.canonical_code(), "{p}");
+            assert_eq!(
+                p.canonical_code_brute_force(),
+                q.canonical_code_brute_force()
+            );
+        }
     }
 
     #[test]

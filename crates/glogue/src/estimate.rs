@@ -103,7 +103,7 @@ impl<'a> GlogueQuery<'a> {
         if let Some(f) = self.cache.lock().get(&code) {
             return *f;
         }
-        let f = self.compute(pattern);
+        let f = self.compute(pattern, &code);
         self.cache.lock().insert(code, f);
         f
     }
@@ -122,7 +122,8 @@ impl<'a> GlogueQuery<'a> {
         f1 * f2 / fi
     }
 
-    fn compute(&self, pattern: &Pattern) -> f64 {
+    /// Estimate `pattern`, whose canonical code is `code`.
+    fn compute(&self, pattern: &Pattern, code: &str) -> f64 {
         let glogue = self.glogue;
         // no edges: product of vertex-constraint frequencies (usually a single vertex)
         if pattern.edge_count() == 0 {
@@ -153,7 +154,7 @@ impl<'a> GlogueQuery<'a> {
             && pattern.vertices().all(|v| v.constraint.is_basic())
             && pattern.edges().all(|e| e.constraint.is_basic())
         {
-            if let Some(f) = glogue.lookup(pattern) {
+            if let Some(f) = glogue.lookup_code(code) {
                 return f;
             }
             // a schema-consistent pattern absent from GLogue genuinely has frequency 0,

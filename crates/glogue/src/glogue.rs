@@ -16,6 +16,10 @@ use gopt_gir::types::TypeConstraint;
 use gopt_graph::{GraphSchema, LabelId, PropertyGraph};
 use std::collections::{HashMap, HashSet};
 
+/// A homomorphism counter with anchor sampling, as
+/// [`count_homomorphisms_sampled`].
+type Counter = fn(&PropertyGraph, &Pattern, Option<usize>, u64) -> f64;
+
 /// Configuration for building a [`GLogue`] from a data graph.
 #[derive(Debug, Clone)]
 pub struct GLogueConfig {
@@ -91,7 +95,28 @@ impl GLogue {
         };
         glogue.seed_small_patterns();
         if config.max_pattern_vertices >= 3 {
-            glogue.mine_size3(graph, config);
+            glogue.mine_size3(graph, config, count_homomorphisms_sampled);
+        }
+        glogue
+    }
+
+    /// [`GLogue::build`] with the size-3 patterns counted by the reference miner.
+    #[cfg(test)]
+    fn build_reference(graph: &PropertyGraph, config: &GLogueConfig) -> Self {
+        let mut glogue = GLogue::build(
+            graph,
+            &GLogueConfig {
+                max_pattern_vertices: 2,
+                ..config.clone()
+            },
+        );
+        glogue.max_pattern_vertices = config.max_pattern_vertices;
+        if config.max_pattern_vertices >= 3 {
+            glogue.mine_size3(
+                graph,
+                config,
+                crate::mining::count_homomorphisms_sampled_reference,
+            );
         }
         glogue
     }
@@ -159,7 +184,7 @@ impl GLogue {
 
     /// Enumerate and count all schema-consistent 3-vertex basic-typed patterns
     /// (wedges and triangles) present in the schema.
-    fn mine_size3(&mut self, graph: &PropertyGraph, config: &GLogueConfig) {
+    fn mine_size3(&mut self, graph: &PropertyGraph, config: &GLogueConfig, count: Counter) {
         let mut seen: HashSet<String> = HashSet::new();
         let patterns = enumerate_size3_patterns(&self.schema);
         for p in patterns {
@@ -167,7 +192,7 @@ impl GLogue {
             if !seen.insert(code.clone()) {
                 continue;
             }
-            let freq = count_homomorphisms_sampled(graph, &p, config.max_anchors, config.seed);
+            let freq = count(graph, &p, config.max_anchors, config.seed);
             if freq > 0.0 {
                 self.pattern_freqs.insert(code, freq);
             }
@@ -217,7 +242,13 @@ impl GLogue {
 
     /// Look up the stored frequency of a pattern (by canonical code).
     pub fn lookup(&self, pattern: &Pattern) -> Option<f64> {
-        self.pattern_freqs.get(&pattern.canonical_code()).copied()
+        self.lookup_code(&pattern.canonical_code())
+    }
+
+    /// Look up a stored frequency by an already computed
+    /// [`canonical code`](Pattern::canonical_code).
+    pub fn lookup_code(&self, code: &str) -> Option<f64> {
+        self.pattern_freqs.get(code).copied()
     }
 
     /// Sum of vertex frequencies admitted by a constraint.
@@ -236,15 +267,18 @@ impl GLogue {
         edge: &TypeConstraint,
         dst: &TypeConstraint,
     ) -> f64 {
-        let edge_labels: Vec<LabelId> =
-            edge.materialize(&self.schema.edge_label_ids().collect::<Vec<_>>());
+        // one running sum over labels (AllType in schema order), then endpoints
         let mut total = 0.0;
-        for el in edge_labels {
+        let mut add = |el: LabelId| {
             for &(s, d) in self.schema.edge_endpoints(el) {
                 if src.contains(s) && dst.contains(d) {
                     total += self.typed_edge_freq(s, el, d);
                 }
             }
+        };
+        match edge.as_labels() {
+            None => self.schema.edge_label_ids().for_each(&mut add),
+            Some(labels) => labels.iter().copied().for_each(&mut add),
         }
         total
     }
@@ -434,6 +468,68 @@ mod tests {
         let b = z.add_vertex(TypeConstraint::basic(place));
         z.add_edge(a, b, TypeConstraint::basic(knows));
         assert_eq!(gl.lookup(&z), None);
+    }
+
+    /// The planned miner must reproduce the reference miner bit for bit: on every
+    /// size-3 pattern `GLogue::build` enumerates, and on the whole frequency map.
+    fn assert_miner_matches_reference(g: &PropertyGraph, config: &GLogueConfig) {
+        let mut seen = HashSet::new();
+        let mut counted = 0;
+        for p in enumerate_size3_patterns(g.schema()) {
+            if !seen.insert(p.canonical_code()) {
+                continue;
+            }
+            let new = count_homomorphisms_sampled(g, &p, config.max_anchors, config.seed);
+            let old = crate::mining::count_homomorphisms_sampled_reference(
+                g,
+                &p,
+                config.max_anchors,
+                config.seed,
+            );
+            assert_eq!(new.to_bits(), old.to_bits(), "{p}: {new} vs {old}");
+            counted += usize::from(new > 0.0);
+        }
+        assert!(counted > 0, "the graph must contain size-3 patterns");
+        let built = GLogue::build(g, config);
+        let reference = GLogue::build_reference(g, config);
+        assert_eq!(built.pattern_freqs, reference.pattern_freqs);
+        assert_eq!(built.max_pattern_vertices, reference.max_pattern_vertices);
+    }
+
+    #[test]
+    fn planned_miner_matches_reference_on_ldbc() {
+        let g = gopt_workloads::generate_ldbc_graph(&gopt_workloads::LdbcScale {
+            persons: 120,
+            seed: 42,
+        });
+        for max_anchors in [Some(500), None] {
+            let config = GLogueConfig {
+                max_pattern_vertices: 3,
+                max_anchors,
+                seed: 9,
+            };
+            assert_miner_matches_reference(&g, &config);
+        }
+    }
+
+    #[test]
+    fn planned_miner_matches_reference_on_fig6_random_graph() {
+        let g = random_graph(
+            &fig6_schema(),
+            &RandomGraphConfig {
+                vertices_per_label: 15,
+                edges_per_endpoint: 40,
+                seed: 3,
+            },
+        );
+        for max_anchors in [Some(7), None] {
+            let config = GLogueConfig {
+                max_pattern_vertices: 3,
+                max_anchors,
+                seed: 5,
+            };
+            assert_miner_matches_reference(&g, &config);
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ use gopt_core::{plan_shape, GOpt, GOptConfig, GraphScopeSpec, OptError, INITIAL_
 use gopt_exec::{Backend, ExecError, ExecMode, ExecResult, PartitionedBackend, QueryContext};
 use gopt_gir::physical::PhysicalPlan;
 use gopt_glogue::{GLogue, GLogueConfig, GlogueQuery};
-use gopt_graph::{GraphStats, PartitionerSpec, PropertyGraph};
+use gopt_graph::{GraphStats, PartitionedGraph, PartitionerSpec, PropertyGraph};
 use gopt_parser::{parse_cypher, ParseError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,6 +228,18 @@ impl Server {
         glogue: Arc<GLogue>,
         config: ServerConfig,
     ) -> Result<Server, ServerError> {
+        Server::with_shards(graph, glogue, config, None)
+    }
+
+    /// [`Server::new`], installing `prebuilt` shards instead of sharding
+    /// `graph` when their layout matches the config (see
+    /// [`PartitionedBackend::prepare_from`]).
+    fn with_shards(
+        graph: Arc<PropertyGraph>,
+        glogue: Arc<GLogue>,
+        config: ServerConfig,
+        prebuilt: Option<Arc<PartitionedGraph>>,
+    ) -> Result<Server, ServerError> {
         let mut backend = PartitionedBackend::new(config.partitions)
             .map_err(|e| ServerError::Config(format!("bad partition count: {e}")))?
             .with_threads(config.threads)
@@ -238,7 +250,11 @@ impl Server {
         }
         // shard the graph and spin up the worker pool ahead of the first
         // query; an invalid GOPT_PARTITIONER surfaces here, at startup
-        backend.prepare(&graph).map_err(ServerError::Exec)?;
+        match prebuilt {
+            Some(pg) => backend.prepare_from(&graph, pg),
+            None => backend.prepare(&graph),
+        }
+        .map_err(ServerError::Exec)?;
         let _ = backend.pool();
         let inner = ServerInner {
             state: Mutex::new(ServerState {
@@ -275,16 +291,12 @@ impl Server {
     ) -> Result<Server, ServerError> {
         let img = gopt_graph::load_image(path).map_err(|e| ServerError::Image(e.to_string()))?;
         let glogue = Arc::new(GLogue::build(&img.graph, glogue_cfg));
-        let server = Server::new(Arc::clone(&img.graph), glogue, config)?;
-        // replace the freshly built shards with the image's (same layout,
-        // but avoids paying the shard build twice on mismatched partitions)
-        if img.partitioned.partitions() == server.inner.config.partitions {
-            server
-                .inner
-                .backend
-                .install_sharded(Arc::clone(&img.partitioned))
-                .map_err(ServerError::Exec)?;
-        }
+        let server = Server::with_shards(
+            Arc::clone(&img.graph),
+            glogue,
+            config,
+            Some(Arc::clone(&img.partitioned)),
+        )?;
         server.update_stats(img.stats);
         Ok(server)
     }
@@ -301,19 +313,12 @@ impl Server {
     ) -> Result<u64, ServerError> {
         let img = gopt_graph::load_image(path).map_err(|e| ServerError::Image(e.to_string()))?;
         let glogue = Arc::new(GLogue::build(&img.graph, glogue_cfg));
-        if img.partitioned.partitions() == self.inner.config.partitions {
-            self.inner
-                .backend
-                .install_sharded(Arc::clone(&img.partitioned))
-                .map_err(ServerError::Exec)?;
-        } else {
-            // layouts differ: fall back to re-sharding the loaded graph so
-            // the backend's cache is primed for it either way
-            self.inner
-                .backend
-                .prepare(&img.graph)
-                .map_err(ServerError::Exec)?;
-        }
+        // the image's shards when their layout fits, else re-shard the loaded
+        // graph, so the backend's cache is primed for it either way
+        self.inner
+            .backend
+            .prepare_from(&img.graph, Arc::clone(&img.partitioned))
+            .map_err(ServerError::Exec)?;
         let mut state = self.inner.state.lock();
         state.graph = img.graph;
         state.glogue = glogue;
